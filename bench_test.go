@@ -146,11 +146,13 @@ func BenchmarkAblationReference(b *testing.B) {
 
 func BenchmarkAblationParallel(b *testing.B) {
 	g := ablationDataset(b)
+	// Workers=1 runs the k-sweep and the per-group base runs
+	// sequentially; the default pool runs both on GOMAXPROCS workers.
 	b.Run("sequential", func(b *testing.B) {
-		runTDACVariant(b, g, func(t *core.TDAC) {})
+		runTDACVariant(b, g, func(t *core.TDAC) { t.Workers = 1 })
 	})
 	b.Run("parallel", func(b *testing.B) {
-		runTDACVariant(b, g, func(t *core.TDAC) { t.Parallel = true })
+		runTDACVariant(b, g, func(t *core.TDAC) {})
 	})
 }
 

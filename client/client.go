@@ -149,12 +149,18 @@ type DatasetInfo struct {
 // DiscoverRequest configures a discovery job; zero values take the
 // server's defaults (TD-AC mode, Accu base algorithm).
 type DiscoverRequest struct {
-	Mode        string `json:"mode,omitempty"`
-	Algorithm   string `json:"algorithm,omitempty"`
-	Reference   string `json:"reference,omitempty"`
-	KMin        int    `json:"k_min,omitempty"`
-	KMax        int    `json:"k_max,omitempty"`
-	Parallel    bool   `json:"parallel,omitempty"`
+	Mode      string `json:"mode,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	Reference string `json:"reference,omitempty"`
+	KMin      int    `json:"k_min,omitempty"`
+	KMax      int    `json:"k_max,omitempty"`
+	// Parallel is ignored by the server: per-group base runs always
+	// share the Workers pool.
+	//
+	// Deprecated: the field goes in the next release; leave it unset.
+	Parallel bool `json:"parallel,omitempty"`
+	// Workers bounds both worker pools of the run, the k-sweep and the
+	// per-group base runs (0 means the server's GOMAXPROCS).
 	Workers     int    `json:"workers,omitempty"`
 	SparseAware bool   `json:"sparse_aware,omitempty"`
 	Projection  int    `json:"projection,omitempty"`

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tdac -claims claims.csv [-truth truth.csv] [-algorithm Accu]
-//	     [-tdac] [-parallel] [-workers n] [-project dim] [-sparse]
+//	     [-tdac] [-workers n] [-project dim] [-sparse]
 //	     [-top n] [-trust] [-json] [-stats]
 //	     [-cpuprofile f.pprof] [-memprofile f.pprof]
 //
@@ -59,8 +59,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		truthPath  = fs.String("truth", "", "ground-truth CSV file (object,attribute,value); optional")
 		algorithm  = fs.String("algorithm", "Accu", "base algorithm: "+strings.Join(tdac.Algorithms(), ", "))
 		useTDAC    = fs.Bool("tdac", false, "wrap the algorithm in TD-AC attribute partitioning")
-		parallel   = fs.Bool("parallel", false, "with -tdac: run partition groups concurrently")
-		workers    = fs.Int("workers", 0, "with -tdac: worker pool size for the k-sweep (0 = all CPUs)")
+		workers    = fs.Int("workers", 0, "with -tdac: worker pool size for the k-sweep and the per-group base runs (0 = all CPUs, 1 = sequential)")
 		project    = fs.Int("project", 0, "with -tdac: project truth vectors to this many dimensions before clustering (0 = off)")
 		sparse     = fs.Bool("sparse", false, "with -tdac: use the sparse-aware truth-vector encoding")
 		top        = fs.Int("top", 0, "print only the first n predictions (0 = all)")
@@ -120,9 +119,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	)
 	if *useTDAC {
 		opts := []tdac.Option{tdac.WithBase(*algorithm), tdac.WithWorkers(*workers)}
-		if *parallel {
-			opts = append(opts, tdac.WithParallel())
-		}
 		if *project > 0 {
 			opts = append(opts, tdac.WithProjection(*project))
 		}

@@ -115,14 +115,14 @@ func TestWithProjectionDiscover(t *testing.T) {
 	}
 }
 
-func TestCheckStabilityRejectsWithParallel(t *testing.T) {
+func TestCheckStabilityRejectsWithIncremental(t *testing.T) {
 	d := publicDataset(t, 20, 18)
-	_, err := tdac.CheckStability(d, 3, tdac.WithParallel())
+	_, err := tdac.CheckStability(d, 3, tdac.WithIncremental(tdac.NewIncrementalState()))
 	if err == nil {
-		t.Fatal("CheckStability silently accepted WithParallel")
+		t.Fatal("CheckStability silently accepted WithIncremental")
 	}
-	if !strings.Contains(err.Error(), "WithParallel") || !strings.Contains(err.Error(), "WithWorkers") {
-		t.Errorf("error should name the rejected option and the alternative: %v", err)
+	if !strings.Contains(err.Error(), "WithIncremental") {
+		t.Errorf("error should name the rejected option: %v", err)
 	}
 	// WithWorkers, by contrast, is honoured.
 	if _, err := tdac.CheckStability(d, 3, tdac.WithWorkers(2)); err != nil {

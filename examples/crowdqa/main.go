@@ -97,7 +97,7 @@ func main() {
 	fmt.Printf("\nAccu alone:      %s (%d iterations, %s)\n",
 		tdac.Evaluate(ds, accu.Truth), accu.Iterations, accu.Runtime.Round(0))
 
-	res, err := tdac.Discover(ds, tdac.WithBase("Accu"), tdac.WithParallel())
+	res, err := tdac.Discover(ds, tdac.WithBase("Accu"))
 	if err != nil {
 		log.Fatal(err)
 	}

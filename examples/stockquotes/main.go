@@ -105,7 +105,7 @@ func main() {
 		fmt.Printf("%-22s %s\n", alg+":", tdac.Evaluate(reloaded, res.Truth))
 	}
 
-	res, err := tdac.Discover(reloaded, tdac.WithBase("AccuSim"), tdac.WithParallel())
+	res, err := tdac.Discover(reloaded, tdac.WithBase("AccuSim"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -133,8 +133,10 @@ func TestWatchSurvivesPrimaryKill(t *testing.T) {
 	if err := fol.SyncOnce(); err != nil {
 		t.Fatalf("SyncOnce: %v", err)
 	}
-	// Sever live connections (the watcher's open stream included) before
-	// closing the listener, or Close would wait for the stream to end.
+	// Stop accepting first, so the watcher's reconnect cannot land on
+	// the dying primary, then sever live connections (the watcher's open
+	// stream included), or Close would wait for the stream to end.
+	primaryTS.Listener.Close()
 	primaryTS.CloseClientConnections()
 	primaryTS.Close()
 

@@ -48,7 +48,6 @@ func TestGroupPoolBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 16} {
 		td := New(algorithms.NewAccu())
-		td.Parallel = true
 		td.Workers = workers
 		res, err := td.discoverOnPartition(context.Background(), d, part)
 		if err != nil {

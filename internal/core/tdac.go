@@ -69,21 +69,17 @@ type TDAC struct {
 	// Masked switches the truth vectors and default distance to the
 	// sparse-aware encoding (future-work item (i)).
 	Masked bool
-	// Parallel runs F on the partition's groups concurrently
-	// (future-work item (ii)). Groups are independent after partitioning,
-	// so the per-group base runs drain through a worker pool bounded by
-	// Workers; results are bit-identical to the sequential order because
-	// each group writes only its own slot.
-	Parallel bool
 	// Workers bounds the two worker pools of a run: the independent
-	// k-means + silhouette evaluations of the k-sweep, and (with
-	// Parallel) the per-group base runs. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces sequential execution. Every k-sweep worker derives its
-	// randomness from the configured base seed independently of
-	// scheduling order, so results are bit-identical to the sequential
-	// sweep. A custom Clusterer must be safe for concurrent Cluster
-	// calls when Workers exceeds 1 (both KMeans and Agglomerative are);
-	// base algorithms already must be, per the Algorithm contract.
+	// k-means + silhouette evaluations of the k-sweep, and the per-group
+	// base runs (Algorithm 1 step 4, run concurrently as in future-work
+	// item (ii)). 0 means runtime.GOMAXPROCS(0); 1 forces sequential
+	// execution. Every k-sweep worker derives its randomness from the
+	// configured base seed independently of scheduling order, and each
+	// group writes only its own result slot, so results are
+	// bit-identical to the sequential order. A custom Clusterer must be
+	// safe for concurrent Cluster calls when Workers exceeds 1 (both
+	// KMeans and Agglomerative are); base algorithms already must be,
+	// per the Algorithm contract.
 	Workers int
 	// ProjectDim, when positive, reduces the truth vectors to this many
 	// dimensions with a Johnson–Lindenstrauss random projection before
@@ -283,7 +279,7 @@ func (t *TDAC) FindPartitionContext(ctx context.Context, d *truthdata.Dataset) (
 	return part, sil, err
 }
 
-// workerCount resolves the k-sweep pool size.
+// workerCount resolves the size of both worker pools.
 func (t *TDAC) workerCount() int {
 	if t.Workers > 0 {
 		return t.Workers
@@ -623,9 +619,6 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 	rec := t.Recorder
 
 	runGroup := func(gi int, group []truthdata.AttrID) {
-		if ctx.Err() != nil {
-			return
-		}
 		var t0 time.Time
 		if rec.Enabled() {
 			t0 = time.Now()
@@ -649,37 +642,30 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 	}
 
 	baseDone := rec.Phase(obs.PhaseBaseRuns)
-	rec.SetParallelGroups(t.Parallel && len(part) > 1)
-	if t.Parallel {
-		// Bounded pool, same atomic-counter pattern as the k-sweep:
-		// groups are claimed in index order, each writes only its own
-		// partials slot, so the merged result is bit-identical to the
-		// sequential order regardless of scheduling.
-		workers := t.workerCount()
-		if workers > len(part) {
-			workers = len(part)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					gi := int(next.Add(1)) - 1
-					if gi >= len(part) || ctx.Err() != nil {
-						return
-					}
-					runGroup(gi, part[gi])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for gi, group := range part {
-			runGroup(gi, group)
-		}
+	// Bounded pool, same atomic-counter pattern as the k-sweep: groups
+	// are claimed in index order, each writes only its own partials
+	// slot, so the merged result is bit-identical to the sequential order
+	// regardless of scheduling.
+	workers := t.workerCount()
+	if workers > len(part) {
+		workers = len(part)
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				gi := int(next.Add(1)) - 1
+				if gi >= len(part) || ctx.Err() != nil {
+					return
+				}
+				runGroup(gi, part[gi])
+			}
+		}()
+	}
+	wg.Wait()
 	baseDone()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -738,6 +724,7 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 // entirely. It is the building block for domain-aware upper bounds: when
 // the true attribute grouping is known (a planted partition, documented
 // domains), this is the best any partitioning strategy can do with F.
+// The groups run one at a time, on a single worker.
 func RunOnPartition(base algorithms.Algorithm, d *truthdata.Dataset, part partition.Partition) (*algorithms.Result, error) {
 	if base == nil {
 		return nil, errNoBase
@@ -748,7 +735,7 @@ func RunOnPartition(base algorithms.Algorithm, d *truthdata.Dataset, part partit
 	if part.Size() != d.NumAttrs() {
 		return nil, fmt.Errorf("core: partition covers %d attrs, dataset has %d", part.Size(), d.NumAttrs())
 	}
-	t := &TDAC{Base: base}
+	t := &TDAC{Base: base, Workers: 1}
 	start := time.Now()
 	res, err := t.discoverOnPartition(context.Background(), d, part.Canonical())
 	if err != nil {

@@ -139,20 +139,22 @@ func TestTDACFewAttributesFallsBackToWholeSet(t *testing.T) {
 
 func TestTDACParallelMatchesSequential(t *testing.T) {
 	d, _ := smallDS1(t)
-	seq, err := New(algorithms.NewAccu()).Run(d)
+	seq := New(algorithms.NewAccu())
+	seq.Workers = 1
+	seqOut, err := seq.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := New(algorithms.NewAccu())
-	par.Parallel = true
+	par.Workers = 4
 	parOut, err := par.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Partition.Equal(parOut.Partition) {
+	if !seqOut.Partition.Equal(parOut.Partition) {
 		t.Fatalf("parallel found different partition")
 	}
-	for cell, v := range seq.Truth {
+	for cell, v := range seqOut.Truth {
 		if parOut.Truth[cell] != v {
 			t.Fatalf("parallel differs at %v", cell)
 		}
@@ -375,7 +377,7 @@ func TestTDACProjection(t *testing.T) {
 }
 
 // failingAlgorithm lets the tests inject base-algorithm failures. The call
-// counter is atomic because TD-AC's parallel mode invokes Discover from
+// counter is atomic because TD-AC's base-run pool invokes Discover from
 // several goroutines.
 type failingAlgorithm struct{ calls atomic.Int64 }
 
@@ -411,9 +413,9 @@ func TestTDACParallelPropagatesGroupFailure(t *testing.T) {
 	fail := &failingAlgorithm{}
 	tdac := New(fail)
 	tdac.Reference = algorithms.NewMajorityVote()
-	tdac.Parallel = true
+	tdac.Workers = 4
 	if _, err := tdac.Run(d); err == nil {
-		t.Error("parallel mode swallowed a group failure")
+		t.Error("the base-run pool swallowed a group failure")
 	}
 }
 

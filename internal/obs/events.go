@@ -40,29 +40,17 @@ type Event struct {
 }
 
 // EventSink receives streaming events while a run is in flight. Events
-// from parallel stages (the k-sweep, parallel base runs) arrive in
+// from parallel stages (the k-sweep, the per-group base runs) arrive in
 // completion order, which is scheduling-dependent; consumers must not
 // infer determinism from event order. A sink runs on the pipeline's
 // critical path and may be called concurrently — keep it fast and make
 // it safe for concurrent calls.
 type EventSink func(Event)
 
-// NewRecorderEvents returns an enabled Recorder that both collects the
-// RunStats tree and streams Events to sink (either argument may be nil).
-func NewRecorderEvents(observer Observer, sink EventSink) *Recorder {
-	return &Recorder{observer: observer, sink: sink}
-}
-
 // emit forwards one event to the sink, if any. Safe on a nil Recorder.
 func (r *Recorder) emit(ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	sink := r.sink
-	r.mu.Unlock()
-	if sink != nil {
-		sink(ev)
+	if r != nil && r.sink != nil {
+		r.sink(ev)
 	}
 }
 

@@ -181,9 +181,8 @@ type RunStats struct {
 	// CheckStability: one per reseeded run).
 	Sweeps []SweepStats `json:"sweeps,omitempty"`
 	// Groups holds the per-group base-run timings of the selected
-	// partition; ParallelGroups reports whether they ran concurrently.
-	Groups         []GroupStats `json:"groups,omitempty"`
-	ParallelGroups bool         `json:"parallel_groups"`
+	// partition.
+	Groups []GroupStats `json:"groups,omitempty"`
 	// Cache counts distance-matrix reuse across the run.
 	Cache CacheStats `json:"cache"`
 	// Memory holds allocation deltas over the run.
@@ -201,34 +200,28 @@ func (s *RunStats) PhaseDuration(p Phase) time.Duration {
 	return d
 }
 
-// Observer receives phase-completion events while a run is in flight —
-// the streaming face of the subsystem, behind WithObserver. Calls arrive
-// in phase-completion order, from the goroutine finishing the phase.
-type Observer func(phase Phase, elapsed time.Duration)
-
 // Recorder accumulates a RunStats tree for one pipeline run. The zero
 // value is not used directly; NewRecorder returns a ready one and a nil
 // *Recorder is the disabled subsystem: every method no-ops.
 //
 // A Recorder is single-use — Start once, observe one public API call,
 // Finish once — but safe for the concurrent writes of the parallel
-// k-sweep and parallel per-group base runs.
+// k-sweep and the per-group base runs.
 type Recorder struct {
 	mu       sync.Mutex
 	started  time.Time
 	startMem runtime.MemStats
 	stats    RunStats
-	observer Observer
 	// sink, when non-nil, receives streaming Events (see events.go).
-	// Emission is strictly one-directional, like the observer: the sink
-	// only sees values the pipeline already computed.
+	// Emission is strictly one-directional: the sink only sees values
+	// the pipeline already computed.
 	sink EventSink
 }
 
-// NewRecorder returns an enabled Recorder with an optional observer
-// (nil is fine).
-func NewRecorder(observer Observer) *Recorder {
-	return &Recorder{observer: observer}
+// NewRecorder returns an enabled Recorder that collects the RunStats
+// tree and streams Events to sink (nil is fine: collection only).
+func NewRecorder(sink EventSink) *Recorder {
+	return &Recorder{sink: sink}
 }
 
 // Enabled reports whether stats are being collected; callers use it to
@@ -261,19 +254,14 @@ func (r *Recorder) Phase(p Phase) func() {
 	return func() { r.PhaseDone(p, time.Since(t0)) }
 }
 
-// PhaseDone records one completed phase and notifies the observer and
-// the event sink.
+// PhaseDone records one completed phase and notifies the event sink.
 func (r *Recorder) PhaseDone(p Phase, d time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.stats.Phases = append(r.stats.Phases, PhaseStats{Phase: p, Duration: d})
-	obs := r.observer
 	r.mu.Unlock()
-	if obs != nil {
-		obs(p, d)
-	}
 	r.emit(Event{Kind: EventPhaseEnd, Phase: p, Elapsed: d})
 }
 
@@ -301,7 +289,7 @@ func (r *Recorder) SweepDone(s SweepStats, cache CacheStats) {
 }
 
 // GroupDone records one per-group base run; it is called concurrently
-// under parallel group execution.
+// from the base-run worker pool.
 func (r *Recorder) GroupDone(g GroupStats) {
 	if r == nil {
 		return
@@ -310,16 +298,6 @@ func (r *Recorder) GroupDone(g GroupStats) {
 	r.stats.Groups = append(r.stats.Groups, g)
 	r.mu.Unlock()
 	r.emit(Event{Kind: EventGroup, Group: g.Group, Attrs: g.Attrs, Claims: g.Claims})
-}
-
-// SetParallelGroups marks that the per-group base runs ran concurrently.
-func (r *Recorder) SetParallelGroups(parallel bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.stats.ParallelGroups = parallel
-	r.mu.Unlock()
 }
 
 // Finish closes the run: it stamps the total wall time, computes the

@@ -22,7 +22,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.MatrixDone(MatrixStats{})
 	r.SweepDone(SweepStats{}, CacheStats{})
 	r.GroupDone(GroupStats{})
-	r.SetParallelGroups(true)
 	if got := r.Finish(); got != nil {
 		t.Fatalf("nil recorder Finish = %+v, want nil", got)
 	}
@@ -30,7 +29,11 @@ func TestNilRecorderIsInert(t *testing.T) {
 
 func TestRecorderCollectsTree(t *testing.T) {
 	var events []Phase
-	r := NewRecorder(func(p Phase, d time.Duration) { events = append(events, p) })
+	r := NewRecorder(func(ev Event) {
+		if ev.Kind == EventPhaseEnd {
+			events = append(events, ev.Phase)
+		}
+	})
 	r.Start()
 	done := r.Phase(PhaseReference)
 	time.Sleep(time.Millisecond)
@@ -78,9 +81,9 @@ func TestRecorderCollectsTree(t *testing.T) {
 	if len(s.Groups) != 2 || s.Groups[0].Group != 0 || s.Groups[1].Group != 1 {
 		t.Errorf("groups not sorted by index: %+v", s.Groups)
 	}
-	// Observer saw the phases in completion order.
+	// The sink saw the phase ends in completion order.
 	if len(events) != 2 || events[0] != PhaseReference || events[1] != PhaseTruthVectors {
-		t.Errorf("observer events = %v", events)
+		t.Errorf("phase-end events = %v", events)
 	}
 }
 

@@ -66,11 +66,7 @@ func (s *RunStats) Render(w io.Writer) error {
 					span, sw.Workers, sw.Iterations(), conv, bestK, bestSil)
 			}
 		case PhaseBaseRuns:
-			mode := "sequential"
-			if s.ParallelGroups {
-				mode = "parallel"
-			}
-			fmt.Fprintf(&b, "   %d group(s), %s", len(s.Groups), mode)
+			fmt.Fprintf(&b, "   %d group(s)", len(s.Groups))
 		}
 		b.WriteByte('\n')
 		if ps.Phase == PhaseBaseRuns {

@@ -337,6 +337,9 @@ func (e *Engine) Submit(spec JobSpec) (j *Job, created bool, err error) {
 			return nil, false, err
 		}
 	}
+	// Publish the queued frame before a worker can see the job: once it
+	// is on the queue, the worker may render and publish "running" first.
+	e.publishState(j)
 	e.queue <- j
 	e.enqueued.Add(1)
 	if dk := dedupeKey(&spec); dk != "" {
@@ -344,7 +347,6 @@ func (e *Engine) Submit(spec JobSpec) (j *Job, created bool, err error) {
 	}
 	e.jobs[j.ID] = j
 	e.order = append(e.order, j.ID)
-	e.publishState(j)
 	e.evictLocked()
 	return j, true, nil
 }
@@ -366,6 +368,7 @@ func (e *Engine) resume(id string, spec JobSpec) *Job {
 	if seq, ok := jobSeq(id); ok && seq > e.next {
 		e.next = seq
 	}
+	e.publishState(j) // before the push, as in Submit
 	e.queue <- j
 	e.enqueued.Add(1)
 	if dk := dedupeKey(&spec); dk != "" {
@@ -373,7 +376,6 @@ func (e *Engine) resume(id string, spec JobSpec) *Job {
 	}
 	e.jobs[id] = j
 	e.order = append(e.order, id)
-	e.publishState(j)
 	return j
 }
 

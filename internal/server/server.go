@@ -450,9 +450,12 @@ type discoverRequest struct {
 	// Search selects the k-selection strategy: "exhaustive" (default),
 	// "golden" or "mdl" (tdac mode only; incompatible with sparse_aware).
 	Search string `json:"search"`
-	// Parallel runs per-group base runs concurrently (tdac mode only).
+	// Parallel is accepted and ignored in tdac mode: per-group base runs
+	// always share the Workers pool. It stays for one release so old
+	// clients and persisted job records carrying it still decode.
 	Parallel bool `json:"parallel"`
-	// Workers bounds the k-sweep worker pool (tdac mode only).
+	// Workers bounds both worker pools of the run, the k-sweep and the
+	// per-group base runs (tdac mode only; 0 means GOMAXPROCS).
 	Workers int `json:"workers"`
 	// SparseAware switches to the masked encoding (tdac mode only).
 	SparseAware bool `json:"sparse_aware"`
@@ -601,9 +604,6 @@ func (s *Server) buildSpec(snap *Snapshot, req *discoverRequest) (*JobSpec, erro
 		}
 		if req.Search != "" {
 			opts = append(opts, tdac.WithSearch(req.Search))
-		}
-		if req.Parallel {
-			opts = append(opts, tdac.WithParallel())
 		}
 		if req.Workers != 0 {
 			opts = append(opts, tdac.WithWorkers(req.Workers))

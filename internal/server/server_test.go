@@ -273,6 +273,40 @@ func TestServerDiscoverWithSearch(t *testing.T) {
 	assertSameResult(t, outcome.TDAC, direct)
 }
 
+// TestServerDiscoverIgnoresParallel pins the deprecated "parallel" field:
+// a tdac-mode discover carrying it is accepted, and its result is
+// byte-identical to the same request without it (per-group base runs
+// always share the workers pool).
+func TestServerDiscoverIgnoresParallel(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	if err := s.Registry().Create("exam", examFixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	client := ts.Client()
+	result := func(body string) []byte {
+		t.Helper()
+		var accepted jobView
+		if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/datasets/exam/discover", body, &accepted); code != http.StatusAccepted {
+			t.Fatalf("discover %s: status %d", body, code)
+		}
+		final := pollJob(t, client, ts.URL, accepted.ID)
+		if final.State != JobDone || final.Result == nil {
+			t.Fatalf("discover %s: state %s (error %q)", body, final.State, final.Error)
+		}
+		final.Result.RuntimeMS = 0
+		out, err := json.Marshal(final.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain := result(`{"seed":3}`)
+	withParallel := result(`{"seed":3,"parallel":true}`)
+	if !bytes.Equal(plain, withParallel) {
+		t.Errorf("parallel changed the result:\nwithout: %s\nwith:    %s", plain, withParallel)
+	}
+}
+
 // TestServerBaseModeEndToEnd runs a plain base-algorithm job and checks
 // it against tdac.Run on the same snapshot.
 func TestServerBaseModeEndToEnd(t *testing.T) {
@@ -366,6 +400,7 @@ func TestServer4xxPaths(t *testing.T) {
 		{"discover: unknown algorithm", "POST", "/v1/datasets/d/discover", `{"algorithm":"Oracle9000"}`, 400},
 		{"discover: bad mode", "POST", "/v1/datasets/d/discover", `{"mode":"psychic"}`, 400},
 		{"discover: base mode with tdac options", "POST", "/v1/datasets/d/discover", `{"mode":"base","k_min":2}`, 400},
+		{"discover: base mode with parallel", "POST", "/v1/datasets/d/discover", `{"mode":"base","parallel":true}`, 400},
 		{"discover: invalid k range", "POST", "/v1/datasets/d/discover", `{"k_min":1,"k_max":0}`, 400},
 		{"discover: unknown search", "POST", "/v1/datasets/d/discover", `{"search":"bisect"}`, 400},
 		{"discover: base mode with search", "POST", "/v1/datasets/d/discover", `{"mode":"base","search":"golden"}`, 400},

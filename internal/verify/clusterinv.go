@@ -69,9 +69,10 @@ func clusterDatasets() (names []string, claims map[string][]server.ClaimInput, e
 	return names, claims, nil
 }
 
-// seedAndDiscover creates name, ingests its claims and runs one seeded
-// discovery through base, returning the terminal job reply and its id.
-func seedAndDiscover(client *http.Client, base, name string, claims []server.ClaimInput) (*jobReply, string, error) {
+// seedAndDiscover creates name, ingests its claims and runs one
+// discovery with the request body req through base, returning the
+// terminal job reply and its id.
+func seedAndDiscover(client *http.Client, base, name string, claims []server.ClaimInput, req map[string]any) (*jobReply, string, error) {
 	if err := postJSON(client, base+"/v1/datasets", map[string]string{"name": name}, nil); err != nil {
 		return nil, "", err
 	}
@@ -81,7 +82,7 @@ func seedAndDiscover(client *http.Client, base, name string, claims []server.Cla
 	var submitted struct {
 		ID string `json:"id"`
 	}
-	if err := postJSON(client, base+"/v1/datasets/"+name+"/discover", map[string]any{"seed": 1}, &submitted); err != nil {
+	if err := postJSON(client, base+"/v1/datasets/"+name+"/discover", req, &submitted); err != nil {
 		return nil, "", err
 	}
 	jv, err := awaitJob(client, base, submitted.ID)
@@ -272,12 +273,16 @@ func checkClusterVsSingle(cfg Config) error {
 	defer stop()
 
 	client := &http.Client{Timeout: 60 * time.Second}
+	// One worker makes both event streams deterministic: the k-sweep and
+	// the per-group base runs emit their k and group frames in completion
+	// order, which only a single-worker pool fixes.
+	req := map[string]any{"seed": 1, "workers": 1}
 	for _, name := range names {
-		_, singleJob, err := seedAndDiscover(client, singleTS.URL, name, claims[name])
+		_, singleJob, err := seedAndDiscover(client, singleTS.URL, name, claims[name], req)
 		if err != nil {
 			return fmt.Errorf("single node, %s: %w", name, err)
 		}
-		_, clusterJob, err := seedAndDiscover(client, front.URL, name, claims[name])
+		_, clusterJob, err := seedAndDiscover(client, front.URL, name, claims[name], req)
 		if err != nil {
 			return fmt.Errorf("cluster, %s: %w", name, err)
 		}
@@ -413,14 +418,14 @@ func checkClusterFailover(cfg Config) error {
 		if ring2.Owner(name).ID == "s0" {
 			ownedByS0 = append(ownedByS0, name)
 		}
-		_, singleJob, err := seedAndDiscover(client, singleTS.URL, name, claims[name])
+		_, singleJob, err := seedAndDiscover(client, singleTS.URL, name, claims[name], map[string]any{"seed": 1})
 		if err != nil {
 			return fmt.Errorf("single node, %s: %w", name, err)
 		}
 		if singleResults[name], err = canonicalResult(client, singleTS.URL, singleJob); err != nil {
 			return err
 		}
-		if _, _, err := seedAndDiscover(client, front2.URL, name, claims[name]); err != nil {
+		if _, _, err := seedAndDiscover(client, front2.URL, name, claims[name], map[string]any{"seed": 1}); err != nil {
 			return fmt.Errorf("cluster, %s: %w", name, err)
 		}
 	}

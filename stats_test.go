@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tdac"
 )
@@ -64,21 +63,27 @@ func TestDiscoverWithStats(t *testing.T) {
 	}
 }
 
-func TestWithObserverStreamsPhases(t *testing.T) {
+// TestWithEventsStreamsPhaseEnds pins the phase-completion face of
+// WithEvents: filtering the sink for EventPhaseEnd yields every pipeline
+// phase, and the option implies stats collection.
+func TestWithEventsStreamsPhaseEnds(t *testing.T) {
 	d := statsDataset(t)
 	var mu sync.Mutex
 	seen := map[tdac.Phase]bool{}
 	res, err := tdac.Discover(d, tdac.WithBase("MajorityVote"),
-		tdac.WithObserver(func(p tdac.Phase, _ time.Duration) {
+		tdac.WithEvents(func(ev tdac.Event) {
+			if ev.Kind != tdac.EventPhaseEnd {
+				return
+			}
 			mu.Lock()
-			seen[p] = true
+			seen[ev.Phase] = true
 			mu.Unlock()
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats == nil {
-		t.Fatal("WithObserver must imply stats collection")
+		t.Fatal("WithEvents must imply stats collection")
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -87,7 +92,7 @@ func TestWithObserverStreamsPhases(t *testing.T) {
 		tdac.PhaseKSweep, tdac.PhaseBaseRuns, tdac.PhaseMerge,
 	} {
 		if !seen[p] {
-			t.Errorf("observer never saw phase %q (saw %v)", p, seen)
+			t.Errorf("sink never saw phase %q end (saw %v)", p, seen)
 		}
 	}
 }
@@ -105,7 +110,7 @@ func TestRunHonoursOnlyStatsOptions(t *testing.T) {
 		t.Errorf("discover phase = %v, want > 0", got)
 	}
 	for _, opt := range []tdac.Option{
-		tdac.WithKRange(2, 4), tdac.WithParallel(), tdac.WithWorkers(2),
+		tdac.WithKRange(2, 4), tdac.WithSeed(3), tdac.WithWorkers(2),
 	} {
 		if _, err := tdac.Run(d, "MajorityVote", opt); err == nil {
 			t.Error("Run silently accepted a TD-AC-only option")
@@ -129,9 +134,9 @@ func TestCheckStabilityWithStats(t *testing.T) {
 	}
 }
 
-func TestWithObserverRejectsNil(t *testing.T) {
+func TestWithEventsRejectsNil(t *testing.T) {
 	d := statsDataset(t)
-	if _, err := tdac.Discover(d, tdac.WithObserver(nil)); err == nil {
-		t.Error("WithObserver(nil) accepted")
+	if _, err := tdac.Discover(d, tdac.WithEvents(nil)); err == nil {
+		t.Error("WithEvents(nil) accepted")
 	}
 }

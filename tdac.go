@@ -77,7 +77,7 @@ type (
 	Report = metrics.Report
 )
 
-// Re-exported observability types (see WithStats and WithObserver). A
+// Re-exported observability types (see WithStats and WithEvents). A
 // RunStats tree carries phase-scoped wall times, per-k clustering
 // convergence, per-group base-run cost, distance-cache reuse and
 // allocation deltas for one run; Render or String turn it into an
@@ -102,9 +102,6 @@ type (
 	MemoryStats = obs.MemoryStats
 	// Phase identifies one pipeline stage in a RunStats tree.
 	Phase = obs.Phase
-	// Observer receives phase-completion events while a run is in
-	// flight (see WithObserver).
-	Observer = obs.Observer
 	// Event is one streaming pipeline observation (see WithEvents).
 	Event = obs.Event
 	// EventKind classifies a streaming Event.
@@ -188,7 +185,7 @@ type Result struct {
 	// Runtime is the wall-clock duration of the whole run.
 	Runtime time.Duration
 	// Stats is the observation tree of the run; nil unless WithStats or
-	// WithObserver was passed.
+	// WithEvents was passed.
 	Stats *RunStats
 }
 
@@ -196,8 +193,8 @@ type Result struct {
 // CheckStability and CheckStabilityContext. Every entry point accepts
 // the same option type and routes it through one shared configuration
 // builder; an option an entry point cannot honour is reported as an
-// error instead of being silently dropped (Run honours only WithStats
-// and WithObserver; CheckStability rejects WithParallel).
+// error instead of being silently dropped (Run honours only WithBase,
+// WithStats and WithEvents; CheckStability rejects WithIncremental).
 type Option func(*config) error
 
 // optSet is a bitmask of which options were explicitly set, so entry
@@ -209,13 +206,11 @@ const (
 	optReference
 	optKRange
 	optSearch
-	optParallel
 	optWorkers
 	optProjection
 	optSparseAware
 	optSeed
 	optStats
-	optObserver
 	optEvents
 	optIncremental
 )
@@ -228,13 +223,11 @@ var optNames = []struct {
 	{optReference, "WithReference"},
 	{optKRange, "WithKRange"},
 	{optSearch, "WithSearch"},
-	{optParallel, "WithParallel"},
 	{optWorkers, "WithWorkers"},
 	{optProjection, "WithProjection"},
 	{optSparseAware, "WithSparseAware"},
 	{optSeed, "WithSeed"},
 	{optStats, "WithStats"},
-	{optObserver, "WithObserver"},
 	{optEvents, "WithEvents"},
 	{optIncremental, "WithIncremental"},
 }
@@ -261,13 +254,11 @@ type config struct {
 	minK        int
 	maxK        int
 	search      string
-	parallel    bool
 	masked      bool
 	seed        int64
 	workers     int
 	projectDim  int
 	stats       bool
-	observer    Observer
 	events      EventSink
 	incremental *IncrementalState
 	set         optSet
@@ -294,15 +285,12 @@ func (c *config) reject(mask optSet, entry, hint string) error {
 }
 
 // recorder builds the run's Recorder: nil (collection off) unless
-// WithStats, WithObserver or WithEvents asked for observation.
+// WithStats or WithEvents asked for observation.
 func (c *config) recorder() *obs.Recorder {
-	if !c.stats && c.observer == nil && c.events == nil {
+	if !c.stats {
 		return nil
 	}
-	if c.events != nil {
-		return obs.NewRecorderEvents(c.observer, c.events)
-	}
-	return obs.NewRecorder(c.observer)
+	return obs.NewRecorder(c.events)
 }
 
 // buildTDAC is the single shared config→core.TDAC wiring used by every
@@ -347,7 +335,6 @@ func buildTDAC(cfg *config) (*core.TDAC, error) {
 	if cfg.search != "" && cfg.search != core.SearchExhaustive && cfg.masked {
 		return nil, fmt.Errorf("tdac: WithSearch(%q) cannot be combined with WithSparseAware (the sublinear strategies warm-start from the dense dendrogram geometry)", cfg.search)
 	}
-	t.Parallel = cfg.parallel
 	t.Masked = cfg.masked
 	t.Workers = cfg.workers
 	t.ProjectDim = cfg.projectDim
@@ -473,21 +460,14 @@ func WithSearch(strategy string) Option {
 	}
 }
 
-// WithParallel runs the base algorithm on the partition's groups
-// concurrently (the paper's future-work item (ii)). CheckStability
-// rejects this option: it never runs the base algorithm per group, so
-// there is nothing for it to parallelise (use WithWorkers to speed up
-// its k-sweeps instead).
-func WithParallel() Option {
-	return func(c *config) error { c.parallel = true; c.set |= optParallel; return nil }
-}
-
-// WithWorkers bounds the worker pool of the k-sweep: the independent
-// k-means + silhouette evaluations for different cluster counts run on
-// up to n goroutines. n = 0 (the default) means runtime.GOMAXPROCS;
-// n = 1 forces the sequential sweep. Results are bit-identical for any
-// n — every k derives its randomness from the base seed, never from
-// scheduling order.
+// WithWorkers bounds both worker pools of a run: the k-sweep's
+// independent k-means + silhouette evaluations for different cluster
+// counts, and the per-group base runs on the selected partition (the
+// paper's future-work item (ii)). Each pool runs on up to n goroutines.
+// n = 0 (the default) means runtime.GOMAXPROCS; n = 1 runs both
+// sequentially. Results are bit-identical for any n — every k derives
+// its randomness from the base seed, never from scheduling order, and
+// every group writes only its own result slot.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -538,24 +518,6 @@ func WithStats() Option {
 	return func(c *config) error { c.stats = true; c.set |= optStats; return nil }
 }
 
-// WithObserver streams phase-completion events to fn while the run is in
-// flight (progress reporting, tracing). It implies WithStats: the full
-// tree is still collected on the result's Stats field. fn is called in
-// phase-completion order from the goroutine finishing the phase, so it
-// must be safe for concurrent calls when the pipeline runs parallel
-// stages; keep it fast — it runs on the pipeline's critical path.
-func WithObserver(fn Observer) Option {
-	return func(c *config) error {
-		if fn == nil {
-			return fmt.Errorf("tdac: WithObserver(nil): observer must not be nil (use WithStats for collection without streaming)")
-		}
-		c.observer = fn
-		c.stats = true
-		c.set |= optObserver
-		return nil
-	}
-}
-
 // WithEvents streams fine-grained pipeline events to fn while the run
 // is in flight: phase starts and ends, every explored k of the sweep
 // with its silhouette, and every finished per-group base run. It is the
@@ -563,7 +525,8 @@ func WithObserver(fn Observer) Option {
 // tree is still collected) and feeds the daemon's job event stream.
 // Events from parallel stages arrive in completion order, which is
 // scheduling-dependent; do not infer determinism from event order.
-// Like an Observer, fn runs on the pipeline's critical path and may be
+// Filter for EventPhaseEnd to get each phase's (Phase, Elapsed) pair as
+// it completes. fn runs on the pipeline's critical path and may be
 // called concurrently — keep it fast and concurrency-safe. Event
 // emission never alters results: an observed run is bit-identical to an
 // unobserved one.
@@ -717,7 +680,7 @@ type BaseResult struct {
 	// Runtime is the wall-clock duration of the run.
 	Runtime time.Duration
 	// Stats is the observation tree of the run (a single Discover
-	// phase); nil unless WithStats or WithObserver was passed.
+	// phase); nil unless WithStats or WithEvents was passed.
 	Stats *RunStats
 }
 
@@ -731,7 +694,7 @@ func Run(d *Dataset, algorithm string, opts ...Option) (*BaseResult, error) {
 // context. The built-in algorithms run on the indexed hot path, which
 // checks the context at every update round, so a deadline interrupts
 // even a slow run mid-algorithm; an already-cancelled context returns
-// its error without touching the data. Only WithStats, WithObserver and
+// its error without touching the data. Only WithStats, WithEvents and
 // WithBase are honoured here — WithBase must repeat the algorithm name
 // and exists to carry BaseOptions (WithMaxIterations and friends) into
 // the run; every other option is rejected with an error rather than
@@ -741,8 +704,8 @@ func RunContext(ctx context.Context, d *Dataset, algorithm string, opts ...Optio
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.reject(^(optStats | optObserver | optEvents | optBase), "Run",
-		"it runs the base algorithm directly, without TD-AC's partitioning; only WithStats, WithObserver, WithEvents and WithBase apply"); err != nil {
+	if err := cfg.reject(^(optStats | optEvents | optBase), "Run",
+		"it runs the base algorithm directly, without TD-AC's partitioning; only WithStats, WithEvents and WithBase apply"); err != nil {
 		return nil, err
 	}
 	if cfg.set&optBase != 0 && cfg.base != algorithm {
@@ -826,7 +789,7 @@ type Stability struct {
 	Silhouettes []float64
 	// Stats is the observation tree of the whole check — one
 	// reference/truth-vectors prologue plus one distance-matrix/k-sweep
-	// pair per reseeded run; nil unless WithStats or WithObserver was
+	// pair per reseeded run; nil unless WithStats or WithEvents was
 	// passed.
 	Stats *RunStats
 }
@@ -842,17 +805,16 @@ func CheckStability(d *Dataset, runs int, opts ...Option) (*Stability, error) {
 
 // CheckStabilityContext is CheckStability under a context: cancellation
 // aborts between reseeded runs and inside each run's k-sweep. It accepts
-// the same option set as DiscoverContext, except WithParallel: stability
-// checking never runs the base algorithm per group, so that option is
-// rejected with an error rather than silently ignored (use WithWorkers
-// to parallelise the k-sweeps instead).
+// the same option set as DiscoverContext, except WithIncremental:
+// incremental state applies only to Discover, so that option is
+// rejected with an error rather than silently ignored.
 func CheckStabilityContext(ctx context.Context, d *Dataset, runs int, opts ...Option) (*Stability, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.reject(optParallel|optIncremental, "CheckStability",
-		"it never runs the base algorithm per group; use WithWorkers to parallelise its k-sweeps"); err != nil {
+	if err := cfg.reject(optIncremental, "CheckStability",
+		"incremental state applies only to Discover"); err != nil {
 		return nil, err
 	}
 	t, err := buildTDAC(cfg)

@@ -74,7 +74,7 @@ func TestDiscoverOptions(t *testing.T) {
 		tdac.WithBase("MajorityVote"),
 		tdac.WithReference("MajorityVote"),
 		tdac.WithKRange(2, 3),
-		tdac.WithParallel(),
+		tdac.WithWorkers(2),
 		tdac.WithSeed(9),
 	)
 	if err != nil {
