@@ -30,12 +30,14 @@ type Algorithm interface {
 }
 
 // IndexedAlgorithm is the dense execution interface every built-in
-// algorithm implements. DiscoverIndexed consumes a prebuilt Index — so a
-// pipeline that runs several algorithms over the same data (TD-AC's
-// reference run plus its per-group base runs, the server re-running a
-// snapshot) compiles the claim graph once and shares it — and produces an
-// IndexedResult keyed by dense IDs, materialised to the map-keyed Result
-// only at the public boundary.
+// algorithm implements. DiscoverIndexed consumes a prebuilt Index and
+// produces an IndexedResult keyed by dense IDs, materialised to the
+// map-keyed Result only at the public boundary. That is what lets a
+// pipeline compile the claim graph once and share it: a TD-AC run
+// compiles one index, runs the reference algorithm on it, and runs the
+// base algorithm of every attribute group on a view of it
+// (truthdata.Index.Restrict) that shares its cells, values and voters;
+// the server re-runs a dataset version on that version's cached index.
 //
 // Cancellation is honoured at update-round granularity: ctx.Err() is
 // checked before every iteration, so a deadline interrupts a slow run
@@ -44,7 +46,8 @@ type Algorithm interface {
 // Discover remains the compatibility entry point: the built-in
 // implementations route it through DiscoverIndexed on the dataset's
 // cached index, and third-party Algorithm implementations that never
-// heard of indexes keep working everywhere an Algorithm is accepted.
+// heard of indexes keep working everywhere an Algorithm is accepted
+// (TD-AC runs them on a projected copy of each group instead).
 type IndexedAlgorithm interface {
 	Algorithm
 	// DiscoverIndexed predicts the true value of every claimed cell of
@@ -79,7 +82,7 @@ type IndexedResult struct {
 // The Confidence map is only allocated when the algorithm produced
 // confidences, and Trust is normalised to exactly one entry per dataset
 // source — sources that assert no claims in the indexed slice (common for
-// per-group projections) keep a zero entry instead of truncating or
+// per-group views) keep a zero entry instead of truncating or
 // overflowing the vector.
 func (r *IndexedResult) Materialize(ix *truthdata.Index) *Result {
 	res := &Result{
@@ -127,9 +130,9 @@ func discoverViaIndex(a IndexedAlgorithm, d *truthdata.Dataset) (*Result, error)
 // implement IndexedAlgorithm and take the indexed hot path, which checks
 // ctx at every update round; plain third-party Algorithm implementations
 // fall back to Discover after an upfront cancellation check (they are not
-// interruptible mid-run). This is the dispatch every pipeline stage —
-// TD-AC's reference run, its per-group base runs, a direct Run — goes
-// through.
+// interruptible mid-run). This is the dispatch TD-AC's reference run, a
+// direct Run and a plain Algorithm's per-group base runs go through;
+// indexed per-group base runs call DiscoverIndexed on their view.
 func DiscoverContext(ctx context.Context, alg Algorithm, d *truthdata.Dataset) (*Result, error) {
 	if ia, ok := alg.(IndexedAlgorithm); ok {
 		start := time.Now()

@@ -364,7 +364,13 @@ func (t *TDAC) RunWithState(ctx context.Context, d *truthdata.Dataset, st *Incre
 		}
 	}
 
-	res, err := t.discoverOnPartition(ctx, d, part)
+	// The base runs read views of one claim index, compiled for this run
+	// only: caching it on d (d.Index) would pin it to the dataset
+	// version for as long as the caller holds that version.
+	phaseDone := rec.Phase(obs.PhaseIndex)
+	ix := truthdata.NewIndex(d)
+	phaseDone()
+	res, err := t.discoverOnPartition(ctx, d, ix, part)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"tdac/internal/algorithms"
+	"tdac/internal/obs"
 	"tdac/internal/partition"
+	"tdac/internal/synth"
 )
 
 // countdownCtx is a deterministic cancellation source: Err reports the
@@ -49,7 +52,7 @@ func TestGroupPoolBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 16} {
 		td := New(algorithms.NewAccu())
 		td.Workers = workers
-		res, err := td.discoverOnPartition(context.Background(), d, part)
+		res, err := td.discoverOnPartition(context.Background(), d, d.Index(), part)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -111,6 +114,57 @@ func TestGroupRunsCancelMidAlgorithm(t *testing.T) {
 		}
 		if n > 10_000 {
 			t.Fatal("run never completes even with 10k allowed context checks")
+		}
+	}
+}
+
+// plainAlgorithm hides a built-in's DiscoverIndexed, so TD-AC has to take
+// the plain-Algorithm fallback for it: project the group, Discover, and
+// re-key the result to the original attribute ids.
+type plainAlgorithm struct{ algorithms.Algorithm }
+
+// TestPlainAlgorithmFallbackMatchesIndexed pins the plain-Algorithm path
+// of the per-group base runs to the indexed path (base runs on views of
+// the run's index) at DS1 scale, for a cold run and an incremental one:
+// same outcome, same per-group statistics.
+func TestPlainAlgorithmFallbackMatchesIndexed(t *testing.T) {
+	g, err := synth.Generate(synth.DS1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Dataset
+	ctx := context.Background()
+	runs := map[string]func(base algorithms.Algorithm) (*Outcome, error){
+		"RunContext": func(base algorithms.Algorithm) (*Outcome, error) {
+			td := New(base)
+			td.Recorder = obs.NewRecorder(nil)
+			return td.RunContext(ctx, d)
+		},
+		"RunWithState": func(base algorithms.Algorithm) (*Outcome, error) {
+			td := &TDAC{Base: base, Reference: algorithms.NewMajorityVote(), Recorder: obs.NewRecorder(nil)}
+			return td.RunWithState(ctx, d, NewIncrementalState())
+		},
+	}
+	for name, run := range runs {
+		indexed, err := run(algorithms.NewAccu())
+		if err != nil {
+			t.Fatalf("%s, indexed: %v", name, err)
+		}
+		plain, err := run(plainAlgorithm{algorithms.NewAccu()})
+		if err != nil {
+			t.Fatalf("%s, plain: %v", name, err)
+		}
+		if len(indexed.Partition) < 2 {
+			t.Fatalf("%s: partition %s has one group; the test needs several", name, indexed.Partition)
+		}
+		assertOutcomesIdentical(t, name, indexed, plain)
+		if indexed.Converged != plain.Converged {
+			t.Errorf("%s: converged indexed %v, plain %v", name, indexed.Converged, plain.Converged)
+		}
+		if !slices.EqualFunc(indexed.Stats.Groups, plain.Stats.Groups, func(a, b obs.GroupStats) bool {
+			return a.Group == b.Group && a.Attrs == b.Attrs && a.Claims == b.Claims && a.Iterations == b.Iterations
+		}) {
+			t.Errorf("%s: group stats indexed %+v, plain %+v", name, indexed.Stats.Groups, plain.Stats.Groups)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,9 +210,10 @@ func (t *TDAC) RunContext(ctx context.Context, d *truthdata.Dataset) (*Outcome, 
 		ref = t.Base
 	}
 	// Compile the claim index once up front; it is cached on the dataset,
-	// so the reference run and every projection-free consumer reuse it.
+	// so the reference run reuses it and every per-group base run reads
+	// a view of it.
 	phaseDone := rec.Phase(obs.PhaseIndex)
-	d.Index()
+	ix := d.Index()
 	phaseDone()
 
 	phaseDone = rec.Phase(obs.PhaseReference)
@@ -229,7 +231,7 @@ func (t *TDAC) RunContext(ctx context.Context, d *truthdata.Dataset) (*Outcome, 
 		return nil, err
 	}
 
-	res, err := t.discoverOnPartition(ctx, d, part)
+	res, err := t.discoverOnPartition(ctx, d, ix, part)
 	if err != nil {
 		return nil, err
 	}
@@ -602,17 +604,35 @@ func (t *TDAC) cacheStats(packed *clustering.PackedVectors, numK int) obs.CacheS
 	return cs
 }
 
-// discoverOnPartition runs F on every group's projection of the data and
-// merges the partial truths, trusts and confidences back into one result
-// keyed by the original attribute ids (Algorithm 1 lines 20–24). A
-// cancelled context stops further groups from starting and, for the
-// built-in indexed algorithms, interrupts in-flight runs at their next
-// update round; the error is returned once the pool drains.
-func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, part partition.Partition) (*algorithms.Result, error) {
+// discoverOnPartition runs F on every group of part and merges the
+// partial truths, trusts and confidences into one result keyed by the
+// original attribute ids (Algorithm 1 lines 20–24). ix is the run's
+// claim index over d. An IndexedAlgorithm base runs on each group's
+// view of ix (Index.Restrict), which equals the index of the group's
+// projection without copying it; a plain Algorithm runs on the
+// projection itself. A cancelled context stops further groups from
+// starting and, for the built-in indexed algorithms, interrupts
+// in-flight runs at their next update round; the error is returned once
+// the pool drains.
+func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, ix *truthdata.Index, part partition.Partition) (*algorithms.Result, error) {
+	// A group's trust weight is its raw claim count, duplicates
+	// included, exactly as its projection would hold them.
+	attrClaims := make([]int, d.NumAttrs())
+	for _, c := range d.Claims {
+		attrClaims[c.Attr]++
+	}
+	indexed, _ := t.Base.(algorithms.IndexedAlgorithm)
+
+	// A successful group leaves res with its trust, iterations and
+	// convergence. Its truth and confidence are in view and ir for an
+	// indexed base, or in res, keyed by the projection's attribute ids
+	// (see backMap), for a plain one.
 	type partial struct {
+		claims  int
+		view    *truthdata.Index
+		ir      *algorithms.IndexedResult
 		res     *algorithms.Result
 		backMap []truthdata.AttrID
-		claims  int
 		err     error
 	}
 	partials := make([]partial, len(part))
@@ -623,19 +643,35 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 		if rec.Enabled() {
 			t0 = time.Now()
 		}
-		sub, backMap := d.Project(group)
-		if len(sub.Claims) == 0 {
-			partials[gi] = partial{backMap: backMap}
+		p := &partials[gi]
+		for j, a := range group {
+			if a >= 0 && int(a) < len(attrClaims) && !slices.Contains(group[:j], a) {
+				p.claims += attrClaims[a]
+			}
+		}
+		if p.claims == 0 {
 			return
 		}
-		res, err := algorithms.DiscoverContext(ctx, t.Base, sub)
-		partials[gi] = partial{res: res, backMap: backMap, claims: len(sub.Claims), err: err}
-		if rec.Enabled() && err == nil {
+		if indexed != nil {
+			p.view, _ = ix.Restrict(group)
+			if p.ir, p.err = indexed.DiscoverIndexed(ctx, p.view); p.err == nil {
+				// One trust entry per source, as Materialize pads it:
+				// sources silent in the group still carry its weight.
+				trust := make([]float64, d.NumSources())
+				copy(trust, p.ir.Trust)
+				p.res = &algorithms.Result{Trust: trust, Iterations: p.ir.Iterations, Converged: p.ir.Converged}
+			}
+		} else {
+			var sub *truthdata.Dataset
+			sub, p.backMap = d.Project(group)
+			p.res, p.err = algorithms.DiscoverContext(ctx, t.Base, sub)
+		}
+		if rec.Enabled() && p.err == nil {
 			rec.GroupDone(obs.GroupStats{
 				Group:      gi,
 				Attrs:      len(group),
-				Claims:     len(sub.Claims),
-				Iterations: res.Iterations,
+				Claims:     p.claims,
+				Iterations: p.res.Iterations,
 				Duration:   time.Since(t0),
 			})
 		}
@@ -673,8 +709,8 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 
 	mergeDone := rec.Phase(obs.PhaseMerge)
 	merged := &algorithms.Result{
-		Truth:      make(map[truthdata.Cell]string),
-		Confidence: make(map[truthdata.Cell]float64),
+		Truth:      make(map[truthdata.Cell]string, len(ix.Cells)),
+		Confidence: make(map[truthdata.Cell]float64, len(ix.Cells)),
 		Trust:      make([]float64, d.NumSources()),
 		Converged:  true,
 	}
@@ -688,11 +724,21 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 		if p.res == nil {
 			continue
 		}
-		for cell, v := range p.res.Truth {
-			orig := truthdata.Cell{Object: cell.Object, Attr: p.backMap[cell.Attr]}
-			merged.Truth[orig] = v
-			if c, ok := p.res.Confidence[cell]; ok {
-				merged.Confidence[orig] = c
+		if p.ir != nil {
+			for i := range p.view.Cells {
+				cell := p.view.Cells[i].Cell
+				merged.Truth[cell] = p.view.ValueText(i, p.ir.Choice[i])
+				if p.ir.Conf != nil {
+					merged.Confidence[cell] = p.ir.Conf[i]
+				}
+			}
+		} else {
+			for cell, v := range p.res.Truth {
+				orig := truthdata.Cell{Object: cell.Object, Attr: p.backMap[cell.Attr]}
+				merged.Truth[orig] = v
+				if c, ok := p.res.Confidence[cell]; ok {
+					merged.Confidence[orig] = c
+				}
 			}
 		}
 		// Per-source trust merges as a claim-weighted mean across groups.
@@ -726,7 +772,18 @@ func (t *TDAC) discoverOnPartition(ctx context.Context, d *truthdata.Dataset, pa
 // domains), this is the best any partitioning strategy can do with F.
 // The groups run one at a time, on a single worker.
 func RunOnPartition(base algorithms.Algorithm, d *truthdata.Dataset, part partition.Partition) (*algorithms.Result, error) {
-	if base == nil {
+	out, err := (&TDAC{Base: base, Workers: 1}).RunPartition(context.Background(), d, part)
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
+}
+
+// RunPartition is RunOnPartition under t's Workers and Recorder: the
+// base runs and the merge of a RunContext, on part instead of a selected
+// partition. The Outcome carries Result, Partition and Stats only.
+func (t *TDAC) RunPartition(ctx context.Context, d *truthdata.Dataset, part partition.Partition) (*Outcome, error) {
+	if t.Base == nil {
 		return nil, errNoBase
 	}
 	if len(d.Claims) == 0 {
@@ -735,14 +792,18 @@ func RunOnPartition(base algorithms.Algorithm, d *truthdata.Dataset, part partit
 	if part.Size() != d.NumAttrs() {
 		return nil, fmt.Errorf("core: partition covers %d attrs, dataset has %d", part.Size(), d.NumAttrs())
 	}
-	t := &TDAC{Base: base, Workers: 1}
 	start := time.Now()
-	res, err := t.discoverOnPartition(context.Background(), d, part.Canonical())
+	rec := t.Recorder
+	rec.Start()
+	phaseDone := rec.Phase(obs.PhaseIndex)
+	ix := d.Index()
+	phaseDone()
+	res, err := t.discoverOnPartition(ctx, d, ix, part.Canonical())
 	if err != nil {
 		return nil, err
 	}
-	res.Algorithm = fmt.Sprintf("%s on %s", base.Name(), part)
+	res.Algorithm = fmt.Sprintf("%s on %s", t.Base.Name(), part)
 	res.Iterations = 1
 	res.Runtime = time.Since(start)
-	return res, nil
+	return &Outcome{Result: res, Partition: part, Stats: rec.Finish()}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -265,13 +266,17 @@ func TestTDACDiscoverInterface(t *testing.T) {
 
 func TestTDACMergedTruthMatchesPerGroupRuns(t *testing.T) {
 	// Integration invariant: the merged result must equal running the
-	// base algorithm manually on each group's projection.
+	// base algorithm manually on each group's projection — truth and
+	// confidence per cell, and trust as the claim-weighted mean of the
+	// groups' trust vectors, bit for bit.
 	d, _ := smallDS1(t)
 	base := algorithms.NewAccu()
 	out, err := New(base).Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trust := make([]float64, d.NumSources())
+	weights := make([]float64, d.NumSources())
 	for _, group := range out.Partition {
 		sub, backMap := d.Project(group)
 		res, err := base.Discover(sub)
@@ -283,6 +288,22 @@ func TestTDACMergedTruthMatchesPerGroupRuns(t *testing.T) {
 			if out.Truth[orig] != v {
 				t.Fatalf("merged truth differs from group run at %v", orig)
 			}
+			if got, want := out.Confidence[orig], res.Confidence[cell]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("merged confidence at %v: %v, group run %v", orig, got, want)
+			}
+		}
+		w := float64(len(sub.Claims))
+		for s, tr := range res.Trust {
+			trust[s] += tr * w
+			weights[s] += w
+		}
+	}
+	for s := range trust {
+		if weights[s] > 0 {
+			trust[s] /= weights[s]
+		}
+		if math.Float64bits(out.Trust[s]) != math.Float64bits(trust[s]) {
+			t.Fatalf("merged trust of source %d: %v, claim-weighted group mean %v", s, out.Trust[s], trust[s])
 		}
 	}
 }

@@ -29,8 +29,10 @@ type Phase string
 // run after one Reference/TruthVectors prologue.
 const (
 	// PhaseIndex compiles the dataset's claim index (and its CSR
-	// adjacency on first algorithm use), shared by the reference run and
-	// every per-group base run.
+	// adjacency on first algorithm use), shared by the reference run and,
+	// as views, by every per-group base run. The incremental path has no
+	// reference run and compiles a run-local index here, just before the
+	// base runs.
 	PhaseIndex          Phase = "index"
 	PhaseReference      Phase = "reference"
 	PhaseTruthVectors   Phase = "truth-vectors"
@@ -39,7 +41,7 @@ const (
 	PhaseBaseRuns       Phase = "base-runs"
 	PhaseMerge          Phase = "merge"
 	PhaseDiscover       Phase = "discover"
-	// PhaseIncrementalSync replaces Index/Reference/TruthVectors and the
+	// PhaseIncrementalSync replaces Reference/TruthVectors and the
 	// matrix build on the incremental-discovery path: it covers syncing a
 	// maintained IncrementalState to the dataset version under discovery
 	// (vote deltas, reference-truth repair, dirty-row geometry updates).
@@ -144,13 +146,16 @@ type CacheStats struct {
 type GroupStats struct {
 	// Group is the group's index in the selected partition.
 	Group int `json:"group"`
-	// Attrs and Claims size the group's projection of the dataset.
+	// Attrs and Claims size the group's slice of the dataset; Claims is
+	// the raw count, duplicate claims included, which is also the
+	// group's weight in the merged trust.
 	Attrs  int `json:"attrs"`
 	Claims int `json:"claims"`
 	// Iterations is the number of update rounds the base algorithm ran.
 	Iterations int `json:"iterations"`
-	// Duration is the wall time of the group's run, including the
-	// dataset projection.
+	// Duration is the wall time of the group's run, including building
+	// its view of the run's index (or, for a plain Algorithm, its
+	// projection of the dataset).
 	Duration time.Duration `json:"duration_ns"`
 }
 

@@ -1,7 +1,9 @@
 package truthdata
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -70,75 +72,193 @@ type Index struct {
 
 // NewIndex compiles d. The dataset must be valid (see Dataset.Validate);
 // duplicate identical claims collapse to a single vote.
+//
+// The build needs no maps. Two stable counting sorts, by attribute and
+// then by object, order the claim positions by cell, so every cell is a
+// contiguous run in (object, attr) order. Sorting each run by (value,
+// source) makes every candidate value a sub-run, in lexicographic order,
+// and its voters ascending, with duplicates collapsed as the sub-run is
+// read. Values, voters and per-source claims are carved from one backing
+// array each. Sorting per cell, not per object, keeps the comparison
+// sorts small even when one object carries every claim (the Exam
+// datasets).
 func NewIndex(d *Dataset) *Index {
-	type cellAcc struct {
-		values map[string][]SourceID
+	claims := d.Claims
+	order := make([]int32, len(claims))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	acc := make(map[Cell]*cellAcc, len(d.Claims)/2+1)
-	for _, c := range d.Claims {
-		cell := c.Cell()
-		a, ok := acc[cell]
-		if !ok {
-			a = &cellAcc{values: make(map[string][]SourceID, 4)}
-			acc[cell] = a
-		}
-		a.values[c.Value] = append(a.values[c.Value], c.Source)
-	}
+	order = countingSort(claims, order, len(d.Attrs), func(c *Claim) int { return int(c.Attr) })
+	order = countingSort(claims, order, len(d.Objects), func(c *Claim) int { return int(c.Object) })
 
-	cells := make([]Cell, 0, len(acc))
-	for c := range acc {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Object != cells[j].Object {
-			return cells[i].Object < cells[j].Object
+	// Cut order into cells, sort each cell and size the fact and vote
+	// spaces; a vote is a claim that does not repeat its predecessor's
+	// (value, source).
+	byValueSource := func(a, b int32) int {
+		ca, cb := &claims[a], &claims[b]
+		if c := strings.Compare(ca.Value, cb.Value); c != 0 {
+			return c
 		}
-		return cells[i].Attr < cells[j].Attr
-	})
+		return cmp.Compare(ca.Source, cb.Source)
+	}
+	var cellEnd []int
+	nFacts, nVotes := 0, 0
+	for lo := 0; lo < len(order); {
+		cell := claims[order[lo]].Cell()
+		hi := lo + 1
+		for hi < len(order) && claims[order[hi]].Cell() == cell {
+			hi++
+		}
+		run := order[lo:hi]
+		slices.SortFunc(run, byValueSource)
+		for k, p := range run {
+			c := &claims[p]
+			switch {
+			case k == 0 || claims[run[k-1]].Value != c.Value:
+				nFacts++
+				nVotes++
+			case claims[run[k-1]].Source != c.Source:
+				nVotes++
+			}
+		}
+		cellEnd = append(cellEnd, hi)
+		lo = hi
+	}
 
 	idx := &Index{
 		Dataset:    d,
-		Cells:      make([]CellClaims, len(cells)),
-		CellIdx:    make(map[Cell]int, len(cells)),
-		BySource:   make([][]SourceClaim, len(d.Sources)),
-		TruthValue: make([]ValueID, len(cells)),
+		Cells:      make([]CellClaims, len(cellEnd)),
+		CellIdx:    make(map[Cell]int, len(cellEnd)),
+		TruthValue: make([]ValueID, len(cellEnd)),
 	}
-	for i, cell := range cells {
-		a := acc[cell]
-		vals := make([]string, 0, len(a.values))
-		for v := range a.values {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		voters := make([][]SourceID, len(vals))
-		for vi, v := range vals {
-			srcs := a.values[v]
-			sort.Slice(srcs, func(x, y int) bool { return srcs[x] < srcs[y] })
-			// Collapse duplicate identical claims from the same source.
-			dedup := srcs[:0]
-			for k, s := range srcs {
-				if k == 0 || srcs[k-1] != s {
-					dedup = append(dedup, s)
+	values := make([]string, 0, nFacts)
+	voterRows := make([][]SourceID, 0, nFacts)
+	voters := make([]SourceID, 0, nVotes)
+	lo := 0
+	for i, hi := range cellEnd {
+		run := order[lo:hi]
+		lo = hi
+		firstFact := len(values)
+		for k := 0; k < len(run); {
+			val := claims[run[k]].Value
+			firstVoter := len(voters)
+			for ; k < len(run) && claims[run[k]].Value == val; k++ {
+				if s := claims[run[k]].Source; len(voters) == firstVoter || voters[len(voters)-1] != s {
+					voters = append(voters, s)
 				}
 			}
-			voters[vi] = dedup
+			values = append(values, val)
+			voterRows = append(voterRows, voters[firstVoter:len(voters):len(voters)])
 		}
-		idx.Cells[i] = CellClaims{Cell: cell, Values: vals, Voters: voters}
+		cell := claims[run[0]].Cell()
+		cc := CellClaims{
+			Cell:   cell,
+			Values: values[firstFact:len(values):len(values)],
+			Voters: voterRows[firstFact:len(voterRows):len(voterRows)],
+		}
+		idx.Cells[i] = cc
 		idx.CellIdx[cell] = i
-
 		idx.TruthValue[i] = -1
-		if tv, ok := d.Truth[cell]; ok {
-			if vid, ok := idx.Cells[i].ValueOf(tv); ok {
+		if v, ok := d.Truth[cell]; ok {
+			if vid, ok := cc.ValueOf(v); ok {
 				idx.TruthValue[i] = vid
 			}
 		}
-		for vi, vs := range voters {
+	}
+	idx.BySource = bySource(idx.Cells, len(d.Sources))
+	return idx
+}
+
+// countingSort stably reorders the claim positions in by key, which maps
+// every claim into [0, n).
+func countingSort(claims []Claim, in []int32, n int, key func(*Claim) int) []int32 {
+	start := make([]int32, n+1)
+	for _, p := range in {
+		start[key(&claims[p])+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	out := make([]int32, len(in))
+	for _, p := range in {
+		k := key(&claims[p])
+		out[start[k]] = p
+		start[k]++
+	}
+	return out
+}
+
+// Restrict returns a view of ix over the cells of the given attributes,
+// plus each view cell's position in ix.Cells. Attribute ids outside the
+// dataset and repeats are ignored, as in Dataset.Project.
+//
+// The view is the index NewIndex(d.Project(attrs)) would compile, minus
+// the copy: Project's attribute remap is monotone, so the projection's
+// cell, value and voter orders are the parent's, and an algorithm run on
+// the view sums every per-fact term in the same order as on the
+// projection. Cells share the parent's Values and Voters storage and
+// keep their original AttrID (so results need no remapping), the view's
+// Dataset is the parent's, and only BySource is rebuilt, into one
+// backing array.
+func (ix *Index) Restrict(attrs []AttrID) (*Index, []int) {
+	keep := make([]bool, ix.Dataset.NumAttrs())
+	for _, a := range attrs {
+		if a >= 0 && int(a) < len(keep) {
+			keep[a] = true
+		}
+	}
+	var pos []int
+	for i := range ix.Cells {
+		if keep[ix.Cells[i].Cell.Attr] {
+			pos = append(pos, i)
+		}
+	}
+	view := &Index{
+		Dataset:    ix.Dataset,
+		Cells:      make([]CellClaims, len(pos)),
+		CellIdx:    make(map[Cell]int, len(pos)),
+		TruthValue: make([]ValueID, len(pos)),
+	}
+	for vi, i := range pos {
+		view.Cells[vi] = ix.Cells[i]
+		view.CellIdx[ix.Cells[i].Cell] = vi
+		view.TruthValue[vi] = ix.TruthValue[i]
+	}
+	view.BySource = bySource(view.Cells, len(ix.BySource))
+	return view, pos
+}
+
+// bySource inverts the cells' voter lists into one claim list per
+// source, ordered by cell index and carved from a single backing array.
+// Sources that claim nothing keep a nil list.
+func bySource(cells []CellClaims, nSources int) [][]SourceClaim {
+	counts := make([]int, nSources)
+	total := 0
+	for i := range cells {
+		for _, vs := range cells[i].Voters {
 			for _, s := range vs {
-				idx.BySource[s] = append(idx.BySource[s], SourceClaim{CellIdx: i, Value: ValueID(vi)})
+				counts[s]++
+			}
+			total += len(vs)
+		}
+	}
+	rows := make([][]SourceClaim, nSources)
+	backing := make([]SourceClaim, total)
+	off := 0
+	for s, n := range counts {
+		if n > 0 {
+			rows[s] = backing[off : off : off+n]
+		}
+		off += n
+	}
+	for i := range cells {
+		for v, vs := range cells[i].Voters {
+			for _, s := range vs {
+				rows[s] = append(rows[s], SourceClaim{CellIdx: i, Value: ValueID(v)})
 			}
 		}
 	}
-	return idx
+	return rows
 }
 
 // NumCells returns the number of claimed cells.

@@ -1,6 +1,7 @@
 package truthdata
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -165,6 +166,87 @@ func TestIndexValuesSortedProperty(t *testing.T) {
 		for i := 1; i < len(cc.Values); i++ {
 			if cc.Values[i-1] >= cc.Values[i] {
 				t.Errorf("cell %v values not sorted: %v", cc.Cell, cc.Values)
+			}
+		}
+	}
+}
+
+// FuzzNewIndex pins the sort-based NewIndex to the map-based reference
+// builder it replaced, field for field and through Flat.
+func FuzzNewIndex(f *testing.F) {
+	f.Add(int64(1), "")
+	f.Add(int64(2), "x|y,z|\"|\n")
+	f.Add(int64(3), "a|ab|a\x00b")
+	f.Add(int64(42), "ü|u|U")
+	f.Fuzz(func(t *testing.T, seed int64, raw string) {
+		d := randomIndexDataset(seed, raw)
+		if diff := indexDiff(NewIndex(d), referenceIndex(d)); diff != "" {
+			t.Fatalf("seed %d: NewIndex differs from the reference: %s", seed, diff)
+		}
+	})
+}
+
+func TestNewIndexMatchesReference(t *testing.T) {
+	cases := map[string]*Dataset{"sample": sampleDataset(t), "empty": {Name: "empty"}}
+	dup := sampleDataset(t)
+	dup.Claims = append(dup.Claims, dup.Claims[0], dup.Claims[3], dup.Claims[0])
+	cases["duplicates"] = dup
+	silent := sampleDataset(t)
+	silent.Sources = append(silent.Sources, "silent")
+	cases["silent source"] = silent
+	for seed := int64(0); seed < 200; seed++ {
+		cases[fmt.Sprintf("random %d", seed)] = randomIndexDataset(seed, "")
+	}
+	for name, d := range cases {
+		if diff := indexDiff(NewIndex(d), referenceIndex(d)); diff != "" {
+			t.Errorf("%s: %s", name, diff)
+		}
+	}
+}
+
+// FuzzIndexRestrict pins Index.Restrict to the projection it replaces on
+// arbitrary attribute lists: repeats, out-of-range and negative ids
+// included.
+func FuzzIndexRestrict(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{0})
+	f.Add(int64(3), []byte{0, 1, 2, 3, 4})
+	f.Add(int64(4), []byte{1, 1, 0xff, 9, 0x80})
+	f.Fuzz(func(t *testing.T, seed int64, sel []byte) {
+		d := randomIndexDataset(seed, "")
+		attrs := make([]AttrID, len(sel))
+		for i, b := range sel {
+			attrs[i] = AttrID(int8(b))
+		}
+		if diff := restrictDiff(NewIndex(d), attrs); diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
+		}
+	})
+}
+
+func TestIndexRestrictTable(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		d := randomIndexDataset(seed, "")
+		nA := AttrID(d.NumAttrs())
+		all, reversed := make([]AttrID, nA), make([]AttrID, nA)
+		for a := range all {
+			all[a], reversed[a] = AttrID(a), nA-1-AttrID(a)
+		}
+		subsets := map[string][]AttrID{
+			"nil":          nil,
+			"empty":        {},
+			"single":       {0},
+			"last":         {nA - 1},
+			"all":          all,
+			"reversed":     reversed,
+			"duplicated":   {0, 0, nA - 1, nA - 1},
+			"out of range": {-1, nA, nA + 7},
+			"mixed":        {nA, 0, -3, 0},
+		}
+		ix := NewIndex(d)
+		for name, attrs := range subsets {
+			if diff := restrictDiff(ix, attrs); diff != "" {
+				t.Errorf("seed %d, %s: %s", seed, name, diff)
 			}
 		}
 	}

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"tdac"
 	"tdac/internal/algorithms"
 	"tdac/internal/clustering"
 	"tdac/internal/core"
 	"tdac/internal/genpartition"
+	"tdac/internal/obs"
 	"tdac/internal/partition"
 	"tdac/internal/synth"
 	"tdac/internal/truthdata"
@@ -62,6 +64,13 @@ func init() {
 			Description: "Discover returns bit-identical results for every WithWorkers value, which bounds both the k-sweep pool and the per-group base-run pool (including more workers than groups)",
 			Quick:       true,
 			Check:       checkWorkers,
+		},
+		Invariant{
+			Name:        "group-views-vs-projection",
+			Class:       Differential,
+			Description: "per-group base runs on views of the run's claim index merge to exactly what projecting and re-indexing every group gave — truth, confidence and trust bits, Converged, and each group's claim count and iterations — for every built-in algorithm over a seeded family of singleton, whole and random partitions with duplicate claims and sources absent from some groups",
+			Quick:       true,
+			Check:       checkGroupViews,
 		},
 		Invariant{
 			Name:        "partition-cover",
@@ -565,6 +574,106 @@ func checkPartitionCover(cfg Config) error {
 		if err := coversExactly(r.Truth, cells); err != nil {
 			return fmt.Errorf("trial %d: discover: %w", trial, err)
 		}
+	}
+	return nil
+}
+
+// groupViewConfigs is the size of the seeded config family behind
+// group-views-vs-projection; every config runs every built-in algorithm.
+const groupViewConfigs = 20
+
+func checkGroupViews(cfg Config) error {
+	rng := rngFor(cfg, 8)
+	ctx := context.Background()
+	for c := 0; c < max(groupViewConfigs, cfg.Trials); c++ {
+		d := randomDataset(rng, 3+rng.Intn(4), 4+rng.Intn(6), 3+rng.Intn(4), 2+rng.Intn(3), 0.6+0.4*rng.Float64())
+		nA := d.NumAttrs()
+		// Duplicate identical claims collapse in every index but still
+		// count in their group's trust weight.
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			d.Claims = append(d.Claims, d.Claims[rng.Intn(len(d.Claims))])
+		}
+		// One source falls silent on a random subset of the attributes,
+		// so it is absent from some groups.
+		silent, mute := truthdata.SourceID(rng.Intn(d.NumSources())), rng.Perm(nA)[:1+rng.Intn(nA-1)]
+		kept := d.Claims[:0:0]
+		for _, cl := range d.Claims {
+			if cl.Source != silent || !slices.Contains(mute, int(cl.Attr)) {
+				kept = append(kept, cl)
+			}
+		}
+		d.Claims = kept
+
+		var part partition.Partition
+		switch c % 3 {
+		case 0:
+			part = partition.Singletons(nA)
+		case 1:
+			part = partition.Whole(nA)
+		default:
+			k := 2 + rng.Intn(nA-1)
+			assign := make([]int, nA)
+			for i := range assign {
+				assign[i] = rng.Intn(k)
+			}
+			part = partition.FromAssign(assign, k)
+		}
+		for _, name := range algorithms.Names() {
+			base, err := algorithms.New(name)
+			if err != nil {
+				return err
+			}
+			t := core.New(base)
+			t.Workers = 1 + c%3
+			t.Recorder = obs.NewRecorder(nil)
+			got, err := t.RunPartition(ctx, d, part)
+			if err != nil {
+				return fmt.Errorf("config %d, %s on %v: views: %w", c, name, part, err)
+			}
+			want, groups, err := projectThenMerge(base, d, part)
+			if err != nil {
+				return fmt.Errorf("config %d, %s on %v: projections: %w", c, name, part, err)
+			}
+			if err := sameMerge(got.Result, want); err != nil {
+				return fmt.Errorf("config %d, %s on %v: %w", c, name, part, err)
+			}
+			if !slices.EqualFunc(got.Stats.Groups, groups, func(a, b obs.GroupStats) bool {
+				return a.Group == b.Group && a.Attrs == b.Attrs && a.Claims == b.Claims && a.Iterations == b.Iterations
+			}) {
+				return fmt.Errorf("config %d, %s on %v: group stats %+v, projections %+v", c, name, part, got.Stats.Groups, groups)
+			}
+		}
+	}
+	return nil
+}
+
+// sameMerge demands bitwise equality of two merged base-run results:
+// truth, confidence (presence and bits), trust bits and Converged.
+func sameMerge(got, want *algorithms.Result) error {
+	if len(got.Truth) != len(want.Truth) || len(got.Confidence) != len(want.Confidence) {
+		return fmt.Errorf("%d truth / %d confidence cells, projections %d / %d",
+			len(got.Truth), len(got.Confidence), len(want.Truth), len(want.Confidence))
+	}
+	for cell, v := range want.Truth {
+		if g, ok := got.Truth[cell]; !ok || g != v {
+			return fmt.Errorf("truth at %v: %q, projections %q", cell, g, v)
+		}
+	}
+	for cell, v := range want.Confidence {
+		if g, ok := got.Confidence[cell]; !ok || math.Float64bits(g) != math.Float64bits(v) {
+			return fmt.Errorf("confidence at %v: %v, projections %v", cell, g, v)
+		}
+	}
+	if len(got.Trust) != len(want.Trust) {
+		return fmt.Errorf("%d trust entries, projections %d", len(got.Trust), len(want.Trust))
+	}
+	for s := range want.Trust {
+		if math.Float64bits(got.Trust[s]) != math.Float64bits(want.Trust[s]) {
+			return fmt.Errorf("trust of source %d: %v, projections %v", s, got.Trust[s], want.Trust[s])
+		}
+	}
+	if got.Converged != want.Converged {
+		return fmt.Errorf("converged %v, projections %v", got.Converged, want.Converged)
 	}
 	return nil
 }

@@ -1,11 +1,16 @@
 package verify
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
+	"tdac/internal/algorithms"
 	"tdac/internal/clustering"
+	"tdac/internal/obs"
 	"tdac/internal/partition"
+	"tdac/internal/truthdata"
 )
 
 // This file holds the deliberately naive reference implementations the
@@ -338,4 +343,52 @@ func naiveKSweep(vectors [][]float64, minK, maxK int, dist clustering.Distance, 
 		}
 	}
 	return best, bestSil, sils
+}
+
+// projectThenMerge is the per-group base-run path TD-AC took before
+// group views: copy the dataset's claims onto each group's projection,
+// run F there (compiling the projection's own index), and merge truth,
+// confidence and claim-weighted trust back under the original attribute
+// ids, one group at a time. It returns the merged result and one
+// GroupStats (Group, Attrs, Claims, Iterations) per non-empty group.
+func projectThenMerge(base algorithms.Algorithm, d *truthdata.Dataset, part partition.Partition) (*algorithms.Result, []obs.GroupStats, error) {
+	merged := &algorithms.Result{
+		Truth:      make(map[truthdata.Cell]string),
+		Confidence: make(map[truthdata.Cell]float64),
+		Trust:      make([]float64, d.NumSources()),
+		Converged:  true,
+	}
+	weights := make([]float64, d.NumSources())
+	var groups []obs.GroupStats
+	for gi, group := range part.Canonical() {
+		sub, backMap := d.Project(group)
+		if len(sub.Claims) == 0 {
+			continue
+		}
+		res, err := algorithms.DiscoverContext(context.Background(), base, sub)
+		if err != nil {
+			return nil, nil, fmt.Errorf("group %d: %w", gi, err)
+		}
+		groups = append(groups, obs.GroupStats{Group: gi, Attrs: len(group), Claims: len(sub.Claims), Iterations: res.Iterations})
+		for cell, v := range res.Truth {
+			orig := truthdata.Cell{Object: cell.Object, Attr: backMap[cell.Attr]}
+			merged.Truth[orig] = v
+			if c, ok := res.Confidence[cell]; ok {
+				merged.Confidence[orig] = c
+			}
+		}
+		w := float64(len(sub.Claims))
+		for s, tr := range res.Trust {
+			merged.Trust[s] += tr * w
+			weights[s] += w
+		}
+		merged.Iterations = max(merged.Iterations, res.Iterations)
+		merged.Converged = merged.Converged && res.Converged
+	}
+	for s := range merged.Trust {
+		if weights[s] > 0 {
+			merged.Trust[s] /= weights[s]
+		}
+	}
+	return merged, groups, nil
 }

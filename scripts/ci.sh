@@ -86,8 +86,8 @@ echo "==> verification harness (tdac-verify)"
 # count is asserted so the harness can never silently shrink.
 harness=$(go run ./cmd/tdac-verify) || { echo "$harness" >&2; exit 1; }
 echo "$harness" | sed 's/^/    /'
-echo "$harness" | grep -q '^29 invariants verified$' || {
-    echo "tdac-verify did not verify all 29 invariants" >&2
+echo "$harness" | grep -q '^30 invariants verified$' || {
+    echo "tdac-verify did not verify all 30 invariants" >&2
     exit 1
 }
 
@@ -100,6 +100,8 @@ go test -run '^$' -fuzz '^FuzzPackedHammingEquivalence$' -fuzztime 10s ./interna
 go test -run '^$' -fuzz '^FuzzWALRecovery$' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz '^FuzzVerifyInvariants$' -fuzztime 10s ./internal/verify
 go test -run '^$' -fuzz '^FuzzFlat$' -fuzztime 10s ./internal/truthdata
+go test -run '^$' -fuzz '^FuzzNewIndex$' -fuzztime 10s ./internal/truthdata
+go test -run '^$' -fuzz '^FuzzIndexRestrict$' -fuzztime 10s ./internal/truthdata
 go test -run '^$' -fuzz '^FuzzIncrementalAppend$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzSSERoundTrip$' -fuzztime 10s ./internal/sse
 
